@@ -16,46 +16,28 @@ import argparse
 import csv
 import functools
 import json
-import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from importlib.resources import files
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from . import __version__, mc
-from .fockspace import (
-    EnumerationSizeError,
-    closed_form_I,
-    closed_form_J,
-    closed_form_J_forms,
-    exact_max_tail,
-    verify_operator_inequality,
-)
 from .protocol import (
+    AbortRateEstimate,
     ChannelModel,
     Detection,
     ProtocolConfig,
-    estimate_abort_rate,
     front_end_statistics,
     run_front_end,
     run_summary,
 )
 from .secparams import SecurityInputs, security_report
-from .specfun import reg_upper_gamma
-from .symmetry import mc_lemma1, write_quadrature_csv
-from .tailbounds import (
-    SphereVariant,
-    chernoff_poisson_lower,
-    lm_lower_tail,
-    lm_upper_tail,
-    max_photon_tail,
-)
-
-SUITES = ("lemma1", "opineq", "maxphoton", "integrals", "lm", "chernoff")
+from .symmetry import write_quadrature_csv
+from .tailbounds import SphereVariant
+from .verify import SUITES, require
 
 _ENV_SEED = "CVQKD_SEED"
 # Reserved chunk index for the one-off record dump, far above any trial chunk.
@@ -79,8 +61,16 @@ def load_manifest_schema() -> dict:
     return json.loads(files("cvqkd").joinpath("schemas/manifest.schema.json").read_text())
 
 
+@functools.lru_cache(maxsize=1)
+def _manifest_validator() -> jsonschema.protocols.Validator:
+    schema = load_manifest_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_manifest(doc: dict) -> None:
-    jsonschema.validate(doc, load_manifest_schema())
+    _manifest_validator().validate(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="observed tested-mode mean energy (homodyne; default Y_test)")
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("suite", choices=tuple(SUITES))
     add_common(p_verify)
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--k", type=int, default=None)
@@ -201,15 +191,12 @@ def _resolve_seed(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _require(config: dict, keys: list[str]) -> None:
-    missing = [key for key in keys if key not in config]
-    if missing:
-        raise CliError(f"missing required parameter(s): {', '.join(missing)}")
-
-
 def _emit(manifest: dict, out: str | None) -> None:
     validate_manifest(manifest)
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise CliError(f"the manifest holds a non-finite number: {exc}") from exc
     if out is None:
         sys.stdout.write(text)
     else:
@@ -233,8 +220,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     config = _resolve(args, ["n", "k", "lam", "Y_test", "eps_test", "eps_A", "c", "delta",
                              "detection", "eps_projection", "y_k_observed"])
     seed = _resolve_seed(args, config)
-    _require(config, ["n", "k", "lam", "Y_test", "eps_test", "eps_A", "c", "delta", "detection"])
     try:
+        require(config, ["n", "k", "lam", "Y_test", "eps_test", "eps_A", "c", "delta", "detection"])
         inputs = SecurityInputs(
             n=int(config["n"]), k=int(config["k"]), lam=float(config["lam"]),
             Y_test=float(config["Y_test"]), eps_test=float(config["eps_test"]),
@@ -256,150 +243,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0 if bounds.feasible else 2
 
 
-def _suite_lemma1(config: dict, seed: int, workers: int) -> tuple[bool, dict]:
-    _require(config, ["n", "k", "delta", "trials"])
-    result = mc_lemma1(
-        n=int(config["n"]), k=int(config["k"]), delta=float(config["delta"]),
-        trials=int(config["trials"]), variant=SphereVariant(config.get("variant", "real_sphere")),
-        seed=seed, workers=workers,
-    )
-    margin = result.delta + 3.0 * result.wilson_half_width - result.rate
-    passed = margin >= 0.0
-    return passed, {
-        "g": result.g, "failures": result.failures, "trials": result.trials,
-        "rate": result.rate, "delta": result.delta,
-        "wilson_low": result.wilson_low, "wilson_high": result.wilson_high,
-        "margin": margin, "variant": result.variant.value,
-    }
-
-
-def _suite_opineq(config: dict) -> tuple[bool, dict]:
-    _require(config, ["n", "d0"])
-    n, d0 = int(config["n"]), float(config["d0"])
-    k_max = int(config.get("kmax") or math.ceil(n * d0) + 500)
-    report = verify_operator_inequality(n, d0, k_max)
-    return report.passed, {
-        "min_margin": report.min_margin, "k_start": report.k_start, "k_max": report.k_max,
-        "monotone": report.monotone, "violations": list(report.violations),
-    }
-
-
-def _suite_maxphoton(config: dict) -> tuple[bool, dict]:
-    _require(config, ["n", "p", "m"])
-    n, p, m = int(config["n"]), int(config["p"]), int(config["m"])
-    try:
-        exact = exact_max_tail(n, p, m)
-    except EnumerationSizeError as exc:
-        raise CliError(str(exc)) from exc
-    bound = max_photon_tail(n, p, m)
-    passed = exact <= bound.bound + 1e-12
-    return passed, {"exact": exact, "bound": bound.bound, "exponent": bound.exponent,
-                    "slack": bound.bound - exact}
-
-
-def _suite_integrals(config: dict, seed: int) -> tuple[bool, dict]:
-    samples = int(config.get("samples") or 200_000)
-    worst_identity = 0.0
-    for n in (1, 2, 3, 5, 10, 25, 60, 120, 200):
-        for a in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 500.0):
-            i_val = closed_form_I(n, a)
-            q_val = reg_upper_gamma(n, a)
-            worst_identity = max(worst_identity, abs(i_val - q_val) / max(q_val, 1e-300))
-    identity_ok = worst_identity <= 1e-10
-
-    worst_consistency = 0.0
-    for n in (1, 2, 3, 4):
-        for a in (0.5, 1.0, 2.0, 5.0):
-            gap = abs(closed_form_J(n, 0, a) - closed_form_I(n, a))
-            worst_consistency = max(worst_consistency, gap / closed_form_I(n, a))
-    consistency_ok = worst_consistency <= 1e-10
-
-    gen = mc.chunk_generator(seed, 0)
-    worst_dev = 0.0
-    mc_ok = True
-    for n in (1, 2, 3, 4):
-        for k in (0, 1, 2, 3):
-            for a in (0.5, 1.0, 2.0):
-                y = gen.standard_exponential((samples, n))
-                weights = y[:, 0] ** k / math.factorial(k)
-                values = weights * (y.sum(axis=1) >= a)
-                estimate = float(values.mean())
-                stderr = float(values.std(ddof=1)) / math.sqrt(samples)
-                dev = abs(estimate - closed_form_J(n, k, a)) / stderr
-                worst_dev = max(worst_dev, dev)
-                mc_ok = mc_ok and dev <= 3.0
-
-    forms = closed_form_J_forms(3, 2, 1.5)
-    passed = identity_ok and consistency_ok and mc_ok
-    return passed, {
-        "identity_worst_rel_err": worst_identity,
-        "k0_consistency_worst_rel_err": worst_consistency,
-        "mc_worst_deviation_se": worst_dev,
-        "mc_samples_per_point": samples,
-        "printed_form_gap_example": {"n": 3, "k": 2, "a": 1.5,
-                                     "defining": forms.defining_form,
-                                     "printed": forms.printed_form},
-    }
-
-
-def _suite_lm(config: dict, seed: int) -> tuple[bool, dict]:
-    k = int(config.get("k") or 100)
-    n = int(config.get("n") or 100)
-    samples = int(config.get("samples") or 1_000_000)
-    gen = mc.chunk_generator(seed, 0)
-    lower_samples = gen.chisquare(k, samples) / k
-    upper_samples = gen.chisquare(n, samples) / n
-    xs = np.linspace(0.25, 4.75, 10)
-    checks = []
-    passed = True
-    for x in xs:
-        lower = lm_lower_tail(k, float(x))
-        upper = lm_upper_tail(n, float(x))
-        emp_lower = float(np.count_nonzero(lower_samples <= lower.threshold)) / samples
-        emp_upper = float(np.count_nonzero(upper_samples >= upper.threshold)) / samples
-        ok = emp_lower <= lower.bound and emp_upper <= upper.bound
-        passed = passed and ok
-        checks.append({"x": float(x), "bound": lower.bound,
-                       "empirical_lower": emp_lower, "empirical_upper": emp_upper})
-    return passed, {"k": k, "n": n, "samples": samples, "grid": checks}
-
-
-def _suite_chernoff(config: dict) -> tuple[bool, dict]:
-    from scipy.stats import poisson
-
-    checks = []
-    passed = True
-    grid = [(10.0, 0.5), (10.0, 0.25), (5.0, 0.5), (50.0, 0.1), (50.0, 0.5),
-            (100.0, 0.2), (2.0, 0.5), (20.0, 0.35), (7.5, 0.6), (1000.0, 0.05)]
-    for lam, delta in grid:
-        bound = chernoff_poisson_lower(lam, delta)
-        exact = float(poisson.cdf(math.floor((1.0 - delta) * lam), lam))
-        ok = exact <= bound.bound + 1e-15
-        passed = passed and ok
-        checks.append({"lambda": lam, "delta": delta, "exact": exact, "bound": bound.bound})
-    return passed, {"grid": checks}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _resolve(args, ["n", "k", "delta", "trials", "variant", "d0", "kmax", "p", "m", "samples"])
     seed = _resolve_seed(args, config)
     workers = max(1, int(args.workers))
     suite = args.suite
     try:
-        if suite == "lemma1":
-            passed, details = _suite_lemma1(config, seed, workers)
-        elif suite == "opineq":
-            passed, details = _suite_opineq(config)
-        elif suite == "maxphoton":
-            passed, details = _suite_maxphoton(config)
-        elif suite == "integrals":
-            passed, details = _suite_integrals(config, seed)
-        elif suite == "lm":
-            passed, details = _suite_lm(config, seed)
-        else:
-            passed, details = _suite_chernoff(config)
-    except CliError:
-        raise
+        passed, details = SUITES[suite](config, seed, workers)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid parameters for suite {suite!r}: {exc}") from exc
     echo = dict(config)
@@ -410,25 +260,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _build_protocol_config(config: dict, seed: int) -> ProtocolConfig:
-    _require(config, ["n", "k", "lam", "detection"])
+    require(config, ["n", "k", "lam", "detection"])
     channel = ChannelModel(
         transmittance=float(config.get("transmittance", 1.0)),
         excess_noise=float(config.get("excess_noise", 0.0)),
     )
-    partial_cfg = ProtocolConfig(
+    cfg = ProtocolConfig(
         n=int(config["n"]), k=int(config["k"]), lam=float(config["lam"]),
         detection=Detection(config["detection"]), channel=channel,
-        Y_test=1.0, seed=seed,
+        Y_test=float(config.get("Y_test", 1.0)), seed=seed,
     )
-    if "Y_test" in config:
-        y_test = float(config["Y_test"])
-    else:
+    if "Y_test" not in config:
         # Tunable default: a 20% guard band over the honest expectation.
-        y_test = 1.2 * partial_cfg.expected_Y_k
-    return ProtocolConfig(
-        n=partial_cfg.n, k=partial_cfg.k, lam=partial_cfg.lam,
-        detection=partial_cfg.detection, channel=channel, Y_test=y_test, seed=seed,
-    )
+        cfg = replace(cfg, Y_test=1.2 * cfg.expected_Y_k)
+    return cfg
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -447,9 +292,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = _build_protocol_config(config, seed)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid protocol config: {exc}") from exc
+    if args.format == "csv" and args.out is None:
+        raise CliError("--format csv requires --out")
     workers = max(1, int(args.workers))
 
-    estimate = estimate_abort_rate(cfg, trials, seed=seed, workers=workers)
+    y_k, z_n = front_end_statistics(cfg, trials, seed, workers=workers)
+    estimate = AbortRateEstimate.from_statistics(y_k, cfg.Y_test)
     results = {
         "trials": estimate.trials, "aborts": estimate.aborts, "abort_rate": estimate.rate,
         "wilson_low": estimate.wilson_low, "wilson_high": estimate.wilson_high,
@@ -472,9 +320,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     echo["seed"] = seed
 
     if args.format == "csv":
-        if args.out is None:
-            raise CliError("--format csv requires --out")
-        y_k, z_n = front_end_statistics(cfg, trials, seed, workers=workers)
         try:
             with open(args.out, "w", newline="") as handle:
                 writer = csv.writer(handle)
@@ -484,9 +329,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                      int(y_k[i] <= cfg.Y_test)])
         except OSError as exc:
             raise CliError(f"cannot write {args.out!r}: {exc}") from exc
-        _emit(_manifest("simulate", echo, seed, results), None)
-    else:
-        _emit(_manifest("simulate", echo, seed, results), args.out)
+    _emit(_manifest("simulate", echo, seed, results), None if args.format == "csv" else args.out)
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -85,8 +85,3 @@ def wilson_interval(successes: int, trials: int, z: float = 1.0) -> tuple[float,
 def wilson_half_width(successes: int, trials: int, z: float = 1.0) -> float:
     lo, hi = wilson_interval(successes, trials, z)
     return 0.5 * (hi - lo)
-
-
-def combine_counts(chunks: Sequence[int]) -> int:
-    """Order-independent reduction for integer event counts."""
-    return int(sum(int(c) for c in chunks))

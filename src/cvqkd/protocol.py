@@ -209,9 +209,13 @@ class AbortRateEstimate:
     wilson_low: float
     wilson_high: float
 
-    @property
-    def wilson_half_width(self) -> float:
-        return 0.5 * (self.wilson_high - self.wilson_low)
+    @classmethod
+    def from_statistics(cls, y_k: np.ndarray, Y_test: float) -> "AbortRateEstimate":
+        """Abort count (trials with ``y_k > Y_test``) and its Wilson interval."""
+        trials = len(y_k)
+        aborts = int(np.count_nonzero(y_k > Y_test))
+        lo, hi = mc.wilson_interval(aborts, trials)
+        return cls(aborts=aborts, trials=trials, rate=aborts / trials, wilson_low=lo, wilson_high=hi)
 
 
 def estimate_abort_rate(
@@ -226,9 +230,7 @@ def estimate_abort_rate(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     y_k, _ = front_end_statistics(cfg, trials, seed, workers=workers, chunk_size=chunk_size)
-    aborts = int(np.count_nonzero(y_k > cfg.Y_test))
-    lo, hi = mc.wilson_interval(aborts, trials)
-    return AbortRateEstimate(aborts=aborts, trials=trials, rate=aborts / trials, wilson_low=lo, wilson_high=hi)
+    return AbortRateEstimate.from_statistics(y_k, cfg.Y_test)
 
 
 def run_summary(cfg: ProtocolConfig, outcome: TestOutcome, seed: int) -> dict:

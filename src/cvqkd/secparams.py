@@ -30,6 +30,7 @@ from .tailbounds import (
     beta_exponent,
     beta_root,
     g_factor,
+    geometric_cutoff,
 )
 
 __all__ = [
@@ -111,11 +112,26 @@ def dim_alice(n: int, lam: float, eps_A: float) -> float:
         raise ValueError(f"dim_alice requires lam > 0, got {lam}")
     if eps_A <= 0.0:
         raise ValueError(f"dim_alice requires eps_A > 0, got {eps_A}")
-    return math.log(n / eps_A) / math.log1p(1.0 / lam)
+    return geometric_cutoff(n / eps_A, lam)
 
 
-def _dim_bob(n: int, eps: float, d_0: float) -> float:
-    return math.log(4.0 * n / eps) / math.log1p(1.0 / d_0)
+def _dims(inputs: SecurityInputs, eps: float, g_delta: float, energy: float) -> SecurityBounds:
+    """d_A, d_0 = g(g_delta) * energy and d_B at failure budget eps; infeasible
+    g (too few tested modes) is reported, not raised."""
+    d_a = dim_alice(inputs.n, inputs.lam, inputs.eps_A)
+    try:
+        g = g_factor(GFactorInputs(delta=g_delta, n=inputs.n, k=inputs.k, variant=SphereVariant.REAL))
+    except InfeasibleParameters as exc:
+        return SecurityBounds(
+            d_A=d_a, d_0=None, d_B=None, beta=None, feasible=False,
+            d_A_ceil=math.ceil(d_a), notes=[str(exc)],
+        )
+    d_0 = g * energy
+    d_b = geometric_cutoff(4.0 * inputs.n / eps, d_0)
+    return SecurityBounds(
+        d_A=d_a, d_0=d_0, d_B=d_b, beta=None, feasible=True,
+        d_A_ceil=math.ceil(d_a), d_B_ceil=math.ceil(d_b),
+    )
 
 
 def dims_heterodyne(inputs: SecurityInputs, eps: float) -> SecurityBounds:
@@ -127,28 +143,7 @@ def dims_heterodyne(inputs: SecurityInputs, eps: float) -> SecurityBounds:
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    d_a = dim_alice(inputs.n, inputs.lam, inputs.eps_A)
-    notes: list[str] = []
-    try:
-        g = g_factor(GFactorInputs(delta=eps / 4.0, n=inputs.n, k=inputs.k, variant=SphereVariant.REAL))
-    except InfeasibleParameters as exc:
-        notes.append(str(exc))
-        return SecurityBounds(
-            d_A=d_a, d_0=None, d_B=None, beta=None, feasible=False,
-            d_A_ceil=math.ceil(d_a), notes=notes,
-        )
-    d_0 = g * inputs.Y_test
-    d_b = _dim_bob(inputs.n, eps, d_0)
-    return SecurityBounds(
-        d_A=d_a,
-        d_0=d_0,
-        d_B=d_b,
-        beta=None,
-        feasible=True,
-        d_A_ceil=math.ceil(d_a),
-        d_B_ceil=math.ceil(d_b),
-        notes=notes,
-    )
+    return _dims(inputs, eps, eps / 4.0, inputs.Y_test)
 
 
 def dims_homodyne(inputs: SecurityInputs, eps: float, Y_k_observed: float) -> SecurityBounds:
@@ -164,47 +159,29 @@ def dims_homodyne(inputs: SecurityInputs, eps: float, Y_k_observed: float) -> Se
         raise ValueError(f"eps must be > 0, got {eps}")
     if Y_k_observed <= 0.0:
         raise ValueError(f"Y_k_observed must be > 0, got {Y_k_observed}")
-    d_a = dim_alice(inputs.n, inputs.lam, inputs.eps_A)
-    notes: list[str] = []
-    try:
-        g = g_factor(GFactorInputs(delta=eps / 16.0, n=inputs.n, k=inputs.k, variant=SphereVariant.REAL))
-    except InfeasibleParameters as exc:
-        notes.append(str(exc))
-        return SecurityBounds(
-            d_A=d_a, d_0=None, d_B=None, beta=None, feasible=False,
-            d_A_ceil=math.ceil(d_a), notes=notes,
-        )
-    d_0 = 2.0 * g * Y_k_observed
-    beta = beta_exponent(d_0)
-    d_b = _dim_bob(inputs.n, eps, d_0)
-    feasible = True
+    bounds = _dims(inputs, eps, eps / 16.0, 2.0 * Y_k_observed)
+    if not bounds.feasible:
+        return bounds
+    d_0 = bounds.d_0
+    beta = bounds.beta = beta_exponent(d_0)
     required = math.log(16.0 / eps)
     # Boundary inclusive: eps == 16 e^(-beta n) counts as feasible, so allow
     # a few ulp of slack in the log-space comparison.
     slack = 1e-9 * max(1.0, abs(required))
     if beta <= 0.0:
-        feasible = False
-        notes.append(
+        bounds.feasible = False
+        bounds.notes.append(
             f"beta(d_0) = {beta:.6g} <= 0: the e^(-beta n) bound is vacuous for any n; "
             f"d_0 = {d_0:.6g} must exceed the beta root {beta_root():.6f}"
         )
     elif beta * inputs.n + slack < required:
-        feasible = False
+        bounds.feasible = False
         minimal_n = math.ceil(required / beta)
-        notes.append(
+        bounds.notes.append(
             f"e^(-beta n) > eps/16 at n = {inputs.n}; the smallest feasible n "
             f"(at this d_0) is {minimal_n}"
         )
-    return SecurityBounds(
-        d_A=d_a,
-        d_0=d_0,
-        d_B=d_b,
-        beta=beta,
-        feasible=feasible,
-        d_A_ceil=math.ceil(d_a),
-        d_B_ceil=math.ceil(d_b),
-        notes=notes,
-    )
+    return bounds
 
 
 def _postselection_exponent(d_a_ceil: int, d_b_ceil: int, n: int) -> float:

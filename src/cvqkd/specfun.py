@@ -1,5 +1,5 @@
-"""Log-scale special functions: factorials, binomials, the regularized
-incomplete gamma function, and stable sums of nonnegative quantities.
+"""Log-scale special functions: binomials, the regularized incomplete gamma
+function, and stable sums of nonnegative quantities.
 
 Everything security-relevant downstream is a product or ratio of quantities
 like binomial configuration counts and Poisson weights e^{-a} a^m / m!,
@@ -11,17 +11,13 @@ values are only materialised when a probability is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
 __all__ = [
     "LOG_ZERO",
-    "LogReal",
-    "log_add",
     "log_sum",
-    "log_factorial",
     "log_binomial",
     "reg_upper_gamma",
     "log_reg_upper_gamma_int",
@@ -34,19 +30,6 @@ LOG_ZERO = float("-inf")
 # binomial log itself (ulp(lgamma(n)) grows with n); switch to the
 # exactly-rounded O(min(k, n-k)) sum above this point.
 _LGAMMA_BINOMIAL_CUTOFF = 20_000
-
-
-def log_add(x: float, y: float) -> float:
-    """Return log(e^x + e^y) without leaving the log scale.
-
-    Max-shifted so that equal inputs give exactly x + log(2).
-    """
-    if x == LOG_ZERO:
-        return y
-    if y == LOG_ZERO:
-        return x
-    hi, lo = (x, y) if x >= y else (y, x)
-    return hi + math.log1p(math.exp(lo - hi))
 
 
 def log_sum(values) -> float:
@@ -63,47 +46,6 @@ def log_sum(values) -> float:
         return LOG_ZERO
     total = math.fsum(np.exp(arr - hi))
     return hi + math.log(total)
-
-
-@dataclass(frozen=True)
-class LogReal:
-    """A nonnegative quantity stored as its natural log.
-
-    ``value`` is ln of the quantity; ``LOG_ZERO`` encodes an exact zero.
-    Addition is linear-scale addition, multiplication is linear-scale
-    multiplication; exponentiating never produces a negative number.
-    """
-
-    value: float
-
-    @classmethod
-    def from_linear(cls, x: float) -> "LogReal":
-        if x < 0:
-            raise ValueError(f"LogReal requires a nonnegative quantity, got {x}")
-        return cls(LOG_ZERO if x == 0 else math.log(x))
-
-    def to_linear(self) -> float:
-        return math.exp(self.value)
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        return LogReal(log_add(self.value, other.value))
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        if self.value == LOG_ZERO or other.value == LOG_ZERO:
-            return LogReal(LOG_ZERO)
-        return LogReal(self.value + other.value)
-
-
-def log_factorial(n: int) -> float:
-    """Return ln(n!) for integer n >= 0.
-
-    Backed by lgamma: relative accuracy is a few ulp everywhere, which for
-    very large n means the absolute error is limited by the spacing of
-    doubles at ln(n!) itself.
-    """
-    if n != int(n) or n < 0:
-        raise ValueError(f"log_factorial requires a nonnegative integer, got {n!r}")
-    return math.lgamma(n + 1.0)
 
 
 def _log_binomial_lgamma(n: int, k: int) -> float:

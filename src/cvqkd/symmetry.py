@@ -288,7 +288,7 @@ def mc_lemma1(
         raise ValueError(f"trials must be >= 1, got {trials}")
     g = g_factor(GFactorInputs(delta=delta, n=n, k=k, variant=variant))
     fn = partial(_lemma1_chunk, n=n, k=k, g=g, complex_mode=variant is SphereVariant.COMPLEX)
-    failures = mc.combine_counts(mc.run_chunked(fn, trials, seed, chunk_size=chunk_size, workers=workers))
+    failures = sum(mc.run_chunked(fn, trials, seed, chunk_size=chunk_size, workers=workers))
     lo, hi = mc.wilson_interval(failures, trials)
     return Lemma1Result(
         failures=failures,

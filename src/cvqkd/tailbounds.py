@@ -45,6 +45,7 @@ __all__ = [
     "beta_root",
     "f_tail",
     "max_photon_tail",
+    "geometric_cutoff",
     "photon_cutoff",
 ]
 
@@ -292,6 +293,13 @@ def max_photon_tail(n: int, p: int, m: int) -> TailBound:
     return TailBound.from_exponent(exponent, f"max_photon_tail(n={n}, p={p}, m={m})")
 
 
+def geometric_cutoff(ratio: float, mean: float) -> float:
+    """Cutoff m = log(ratio) / log(1 + 1/mean), where ratio * (mean / (1 + mean))^m = 1:
+    with ratio = modes / budget, a union bound over modes whose occupation tail
+    is at most (mean / (1 + mean))^m keeps Pr[any mode >= ceil(m)] within budget."""
+    return math.log(ratio) / math.log1p(1.0 / mean)
+
+
 def photon_cutoff(n: int, d: float, eps: float) -> float:
     """Occupation cutoff m* = ln(2n/eps) / ln(1 + 1/d).
 
@@ -305,4 +313,4 @@ def photon_cutoff(n: int, d: float, eps: float) -> float:
         raise ValueError(f"photon_cutoff requires d > 0, got {d}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"photon_cutoff requires 0 < eps < 1, got {eps}")
-    return math.log(2.0 * n / eps) / math.log1p(1.0 / d)
+    return geometric_cutoff(2.0 * n / eps, d)

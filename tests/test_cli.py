@@ -1,11 +1,20 @@
 """Tests for the command-line front end: exit codes, determinism, schemas."""
 
+import argparse
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cvqkd.cli import main, validate_manifest
+import cvqkd
+from cvqkd.cli import build_parser, load_manifest_schema, main, validate_manifest
+from cvqkd.protocol import ChannelModel, Detection, ProtocolConfig, front_end_statistics
 from cvqkd.symmetry import read_quadrature_csv
+from cvqkd.verify import SUITES
 
 BOUNDS_ARGS = [
     "bounds", "--n", "1000000", "--k", "100000", "--lambda", "1",
@@ -133,6 +142,20 @@ class TestVerify:
         assert details["exact"] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert details["bound"] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
+    def test_maxphoton_impossible_event_is_strict_json(self, capsys):
+        # m > p: the union bound's exponent is log(0), which strict JSON
+        # cannot hold as a number.
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        code, out, _ = run_cli(capsys, ["verify", "maxphoton", "--n", "2", "--p", "2", "--m", "3"])
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        validate_manifest(doc)
+        details = doc["results"]["details"]
+        assert details["exact"] == 0.0 and details["bound"] == 0.0
+        assert details["exponent"] is None
+
     def test_maxphoton_guard_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "maxphoton", "--n", "14", "--p", "14", "--m", "3"])
         assert code == 1
@@ -164,6 +187,21 @@ class TestVerify:
     def test_unknown_suite_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "nonsense"])
         assert code == 1
+
+    def test_suite_names_agree(self):
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        choices = next(a for a in commands.choices["verify"]._actions if a.dest == "suite").choices
+        branch = next(b for b in load_manifest_schema()["allOf"]
+                      if b["if"]["properties"]["command"]["const"] == "verify")
+        enum = branch["then"]["properties"]["results"]["properties"]["suite"]["enum"]
+        assert set(SUITES) == set(choices) == set(enum)
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats takes about a second to import; only the chernoff
+        # suite needs it, and it imports it itself.
+        env = dict(os.environ, PYTHONPATH=str(Path(cvqkd.__file__).parents[1]))
+        code = "import cvqkd.cli, sys; sys.exit('scipy.stats' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestSimulate:
@@ -208,12 +246,31 @@ class TestSimulate:
 
     def test_per_trial_csv(self, capsys, tmp_path):
         path = tmp_path / "trials.csv"
-        code, out, _ = run_cli(capsys, self.SIM_ARGS + ["--format", "csv", "--out", str(path)])
+        argv = self.SIM_ARGS + ["--y-test", "3.1", "--format", "csv", "--out", str(path)]
+        code, out, _ = run_cli(capsys, argv)
         assert code == 0
-        parse_manifest(out)  # manifest still on stdout
+        results = parse_manifest(out)["results"]  # manifest still on stdout
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "trial,Y_k,Z_n,passed"
         assert len(lines) == 501
+
+        rows = list(csv.DictReader(lines))
+        assert results["aborts"] > 0
+        assert sum(row["passed"] == "0" for row in rows) == results["aborts"]
+        cfg = ProtocolConfig(n=50, k=500, lam=1.0, detection=Detection.HETERODYNE,
+                             channel=ChannelModel(transmittance=0.5, excess_noise=0.05),
+                             Y_test=3.1, seed=21)
+        y_k, z_n = front_end_statistics(cfg, 500, 21)
+        assert [(row["Y_k"], row["Z_n"]) for row in rows] == \
+            [(repr(float(y)), repr(float(z))) for y, z in zip(y_k, z_n)]
+
+    def test_non_finite_manifest_is_usage_error(self, capsys):
+        # Strict JSON has no Infinity: the echoed excess noise cannot be written.
+        argv = [a for a in self.SIM_ARGS]
+        argv[argv.index("--excess-noise") + 1] = "inf"
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "non-finite" in err
 
     def test_csv_requires_out(self, capsys):
         code, _, err = run_cli(capsys, self.SIM_ARGS + ["--format", "csv"])

@@ -4,26 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from cvqkd.specfun import (
     LOG_ZERO,
-    LogReal,
-    log_add,
     log_binomial,
-    log_factorial,
     log_reg_upper_gamma_int,
     log_sum,
     reg_upper_gamma,
 )
 
-# 50-digit mpmath references (loggamma(n+1) and log C(n, k)).
-LGAMMA_REFS = {
-    100: 363.7393755555634901441,
-    10_000: 82108.92783681435345539,
-    1_000_000: 12815518.38465816962425108,
-    10_000_000: 151180965.4875695648984254,
-}
+# 50-digit mpmath references of log C(n, k).
 LOG_BINOM_REFS = {
     (1_000_000, 17): 201.3584700345077647204,
     (1_000_000, 1000): 7902.882712976144096889,
@@ -40,24 +30,7 @@ REG_GAMMA_REFS = {
 
 
 class TestLogAdd:
-    def test_equal_inputs_exact(self):
-        # logadd(x, x) must be exactly x + log 2
-        for x in (-700.0, -1.0, 0.0, 3.5, 700.0):
-            assert log_add(x, x) == x + math.log(2.0)
-
-    def test_log_zero_identity(self):
-        assert log_add(LOG_ZERO, 2.5) == 2.5
-        assert log_add(2.5, LOG_ZERO) == 2.5
-        assert log_add(LOG_ZERO, LOG_ZERO) == LOG_ZERO
-
-    def test_matches_linear_addition(self):
-        assert log_add(math.log(3.0), math.log(4.0)) == pytest.approx(math.log(7.0), rel=1e-15)
-
-    @given(st.floats(-500, 500), st.floats(-500, 500))
-    def test_commutes_and_dominates_max(self, x, y):
-        s = log_add(x, y)
-        assert s == log_add(y, x)
-        assert s >= max(x, y)
+    """Addition on the log scale, through log_sum."""
 
     def test_log_sum(self):
         vals = [math.log(v) for v in (1.0, 2.0, 3.5, 0.25)]
@@ -66,66 +39,6 @@ class TestLogAdd:
         assert log_sum([LOG_ZERO, LOG_ZERO]) == LOG_ZERO
         # huge shifts stay finite
         assert log_sum([1000.0, -1000.0]) == pytest.approx(1000.0)
-
-
-class TestLogReal:
-    def test_round_trip(self):
-        assert LogReal.from_linear(0.0).value == LOG_ZERO
-        assert LogReal.from_linear(2.0).to_linear() == pytest.approx(2.0, rel=1e-15)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LogReal.from_linear(-1.0)
-
-    def test_arithmetic(self):
-        a = LogReal.from_linear(3.0)
-        b = LogReal.from_linear(4.0)
-        assert (a + b).to_linear() == pytest.approx(7.0, rel=1e-14)
-        assert (a * b).to_linear() == pytest.approx(12.0, rel=1e-14)
-        assert (a * LogReal.from_linear(0.0)).value == LOG_ZERO
-
-    @given(st.floats(-700, 700))
-    def test_exponentiation_nonnegative(self, v):
-        assert math.exp(LogReal(v).value) >= 0.0
-
-
-class TestLogFactorial:
-    def test_trivial_values(self):
-        assert log_factorial(0) == 0.0
-        assert log_factorial(1) == 0.0
-
-    def test_ten(self):
-        # 10! = 3628800 exactly
-        assert log_factorial(10) == pytest.approx(math.log(3628800), rel=1e-14)
-
-    def test_matches_exact_integer_factorials(self):
-        for n in range(21):
-            assert math.exp(log_factorial(n)) == pytest.approx(math.factorial(n), rel=1e-12)
-
-    def test_large_arguments_against_reference(self):
-        for n, ref in LGAMMA_REFS.items():
-            assert log_factorial(n) == pytest.approx(ref, rel=1e-13)
-
-    def test_stirling_sandwich(self):
-        # For integer nx: the two-sided Stirling bounds
-        #   nx ln n + nx (ln x - 1) + ln(n)/2 + ln(x)/2 + ln sqrt(2 pi)
-        #     <= ln((nx)!) <=  ... + 1
-        for n in (2, 4, 10, 40, 100, 1000):
-            for x in (0.5, 1.0, 2.0, 5.0):
-                nx = n * x
-                assert nx == int(nx)
-                core = nx * math.log(n) + nx * (math.log(x) - 1.0) \
-                    + 0.5 * math.log(n) + 0.5 * math.log(x)
-                lo = core + math.log(math.sqrt(2.0 * math.pi))
-                hi = core + 1.0
-                value = log_factorial(int(nx))
-                assert lo <= value <= hi
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            log_factorial(-1)
-        with pytest.raises(ValueError):
-            log_factorial(2.5)
 
 
 class TestLogBinomial:

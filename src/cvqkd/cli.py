@@ -228,13 +228,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             eps_A=float(config["eps_A"]), c=float(config["c"]), delta=float(config["delta"]),
             detection=Detection(config["detection"]),
         )
+        bounds = security_report(
+            inputs,
+            eps_projection=config.get("eps_projection"),
+            Y_k_observed=config.get("y_k_observed"),
+        )
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid security inputs: {exc}") from exc
-    bounds = security_report(
-        inputs,
-        eps_projection=config.get("eps_projection"),
-        Y_k_observed=config.get("y_k_observed"),
-    )
     echo = dict(config)
     echo["eps_projection"] = config.get("eps_projection", 4.0 * inputs.eps_test)
     echo["seed"] = seed

@@ -15,11 +15,10 @@ variance V_B = 1 + 2*tau*lam + tau*xi, so heterodyne outcomes have
 per-quadrature variance 1 + tau*lam + tau*xi/2 and E[q^2 + p^2] =
 2*(1 + tau*lam + tau*xi/2) per mode.
 
-The honest channel produces i.i.d. isotropic Gaussian outcomes, whose law
-is invariant under the rotations used for symmetrization; the abort-rate
-estimator exploits this to skip the per-trial rotation (see
-``estimate_abort_rate``), while ``run_front_end`` performs the literal
-symmetrize-then-test sequence.
+Honest outcomes are i.i.d. zero-mean Gaussians, a law that the
+symmetrizing rotations leave unchanged. ``front_end_statistics`` therefore
+draws Y_k and Z_n from their exact chi-square law (see ``_stats_chunk``),
+while ``run_front_end`` performs the literal symmetrize-then-test sequence.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from .symmetry import (
     QuadratureRecord,
     TestOutcome,
     energy_test,
+    mean_energies,
     sample_haar_orthogonal,
     sample_haar_unitary,
     symmetrize,
@@ -147,10 +147,6 @@ class FrontEndResult:
     outcome: TestOutcome
     record: QuadratureRecord
 
-    @property
-    def kept_values(self) -> np.ndarray:
-        return self.record.values[2 * self.record.tested_modes :]
-
 
 def run_front_end(cfg: ProtocolConfig, rng: np.random.Generator) -> FrontEndResult:
     """Simulate, symmetrize with a fresh Haar rotation, and run the energy
@@ -171,31 +167,24 @@ def run_front_end(cfg: ProtocolConfig, rng: np.random.Generator) -> FrontEndResu
 
 
 def _stats_chunk(gen: np.random.Generator, count: int, cfg: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
-    # Honest outcomes are isotropic, so (Y_k, Z_n) has the same joint law
-    # with or without the symmetrizing rotation; sampling the raw record is
-    # distribution-exact and keeps large mode counts tractable.
+    """(Y_k, Z_n) of ``count`` honest runs, exactly sigma^2 chi2_{d k} / k and
+    sigma^2 chi2_{d n} / n: each of the d outcomes per mode (2 heterodyne, 1
+    homodyne) is N(0, sigma^2), and the rotation does not change that law."""
     if cfg.detection is Detection.HETERODYNE:
-        x = gen.standard_normal((count, 2 * cfg.modes)) * math.sqrt(cfg.heterodyne_quadrature_variance)
-        x *= x
-        energies = x[:, 0::2] + x[:, 1::2]
+        dof, variance = 2, cfg.heterodyne_quadrature_variance
     else:
-        x = gen.standard_normal((count, cfg.modes)) * math.sqrt(cfg.bob_mode_variance)
-        energies = x * x
-    y_k = energies[:, : cfg.k].mean(axis=1)
-    z_n = energies[:, cfg.k :].mean(axis=1)
-    return y_k, z_n
+        dof, variance = 1, cfg.bob_mode_variance
+    y_k, z_n = mean_energies(gen, count, cfg.k, cfg.n, dof)
+    return variance * y_k, variance * z_n
 
 
 def front_end_statistics(
-    cfg: ProtocolConfig,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-    chunk_size: int = mc.DEFAULT_CHUNK_SIZE,
+    cfg: ProtocolConfig, trials: int, seed: int, workers: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (Y_k, Z_n) arrays over ``trials`` honest front-end runs,
-    bit-identical for any worker count."""
-    chunks = mc.run_chunked(partial(_stats_chunk, cfg=cfg), trials, seed, chunk_size=chunk_size, workers=workers)
+    bit-identical for any worker count. Each pair is two chi-square draws
+    from its exact law (see ``_stats_chunk``), so no array grows with n or k."""
+    chunks = mc.run_chunked(partial(_stats_chunk, cfg=cfg), trials, seed, workers=workers)
     y_k = np.concatenate([c[0] for c in chunks])
     z_n = np.concatenate([c[1] for c in chunks])
     return y_k, z_n
@@ -218,18 +207,12 @@ class AbortRateEstimate:
         return cls(aborts=aborts, trials=trials, rate=aborts / trials, wilson_low=lo, wilson_high=hi)
 
 
-def estimate_abort_rate(
-    cfg: ProtocolConfig,
-    trials: int,
-    seed: int = 0,
-    workers: int = 1,
-    chunk_size: int = mc.DEFAULT_CHUNK_SIZE,
-) -> AbortRateEstimate:
+def estimate_abort_rate(cfg: ProtocolConfig, trials: int, seed: int = 0, workers: int = 1) -> AbortRateEstimate:
     """Fraction of honest front-end runs whose energy test aborts, with a
     Wilson interval."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    y_k, _ = front_end_statistics(cfg, trials, seed, workers=workers, chunk_size=chunk_size)
+    y_k, _ = front_end_statistics(cfg, trials, seed, workers=workers)
     return AbortRateEstimate.from_statistics(y_k, cfg.Y_test)
 
 

@@ -67,17 +67,17 @@ class SecurityInputs:
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 1:
             raise ValueError(f"need n, k >= 1, got n={self.n}, k={self.k}")
-        if self.lam <= 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if self.Y_test <= 0.0:
-            raise ValueError(f"Y_test must be > 0, got {self.Y_test}")
+        for name in ("lam", "Y_test"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         for name in ("eps_test", "eps_A"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        if self.c <= 0.0 or self.delta <= 0.0:
+        if not (0.0 < self.c < math.inf and 0.0 < self.delta < math.inf):
             raise ValueError(
-                f"collective-attack constants must be positive, got c={self.c}, delta={self.delta}"
+                f"collective-attack constants must be finite and positive, got c={self.c}, delta={self.delta}"
             )
 
 
@@ -141,8 +141,8 @@ def dims_heterodyne(inputs: SecurityInputs, eps: float) -> SecurityBounds:
     test passes, the chance that any kept mode exceeds d_B photons is below
     eps. Infeasible g (too few tested modes) is reported, not raised.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     return _dims(inputs, eps, eps / 4.0, inputs.Y_test)
 
 
@@ -155,10 +155,10 @@ def dims_homodyne(inputs: SecurityInputs, eps: float, Y_k_observed: float) -> Se
     the smallest feasible n is reported in the notes; when beta <= 0, no n
     helps and the required d_0 is reported instead.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if Y_k_observed <= 0.0:
-        raise ValueError(f"Y_k_observed must be > 0, got {Y_k_observed}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if not 0.0 < Y_k_observed < math.inf:
+        raise ValueError(f"Y_k_observed must be finite and > 0, got {Y_k_observed}")
     bounds = _dims(inputs, eps, eps / 16.0, 2.0 * Y_k_observed)
     if not bounds.feasible:
         return bounds

@@ -6,9 +6,10 @@ commutes with heterodyne detection, the same effect is obtained by rotating
 the classical outcome vector with the induced orthogonal matrix. This
 module provides the Haar samplers (unitary and orthogonal), the embedding
 of a unitary into the corresponding rotation of interleaved (q, p)
-coordinates, the energy-test statistics over tested and kept modes, and the
-Monte Carlo harness that checks the sphere-concentration bound those
-statistics obey.
+coordinates, the energy-test statistics over tested and kept modes, the
+exact sampler of their law for Gaussian and sphere vectors, and the Monte
+Carlo harness that checks the sphere-concentration bound those statistics
+obey.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "to_symplectic",
     "symmetrize",
     "energy_test",
+    "mean_energies",
     "mc_lemma1",
     "read_quadrature_csv",
     "write_quadrature_csv",
@@ -252,15 +254,20 @@ class Lemma1Result:
         return 0.5 * (self.wilson_high - self.wilson_low)
 
 
-def _lemma1_chunk(gen: np.random.Generator, count: int, n: int, k: int, g: float, complex_mode: bool) -> int:
-    # The event compares per-mode means, so the sphere normalization cancels
-    # and raw Gaussian coordinates sample the same event law.
-    dim = 2 * (n + k) if complex_mode else (n + k)
-    x = gen.standard_normal((count, dim))
-    x *= x
-    energies = x[:, 0::2] + x[:, 1::2] if complex_mode else x
-    y_k = energies[:, :k].mean(axis=1)
-    z_n = energies[:, k:].mean(axis=1)
+def mean_energies(
+    gen: np.random.Generator, count: int, k: int, n: int, dof: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` draws of the per-mode mean energies (Y_k, Z_n) of k tested
+    and n kept modes with ``dof`` i.i.d. standard normal coordinates each:
+    exactly Y_k = chi2_{dof k} / k and then Z_n = chi2_{dof n} / n,
+    independent, in memory and time that do not grow with k or n."""
+    y_k = gen.chisquare(dof * k, count) / k
+    z_n = gen.chisquare(dof * n, count) / n
+    return y_k, z_n
+
+
+def _lemma1_chunk(gen: np.random.Generator, count: int, n: int, k: int, g: float, dof: int) -> int:
+    y_k, z_n = mean_energies(gen, count, k, n, dof)
     return int(np.count_nonzero(z_n >= g * y_k))
 
 
@@ -272,14 +279,18 @@ def mc_lemma1(
     variant: SphereVariant = SphereVariant.REAL,
     seed: int = 0,
     workers: int = 1,
-    chunk_size: int = mc.DEFAULT_CHUNK_SIZE,
 ) -> Lemma1Result:
     """Monte Carlo check of the sphere-concentration bound.
 
-    Draws uniform unit-sphere vectors in dimension n + k (real variant) or
-    complex dimension n + k (complex variant), and counts how often the
+    Counts how often, for a uniform unit vector in real dimension n + k
+    (real variant) or complex dimension n + k (complex variant), the
     kept-mode mean energy Z_n reaches g(delta) times the tested-mode mean
     Y_k. The bound asserts that this failure rate is at most delta.
+
+    A uniform vector is a standard Gaussian one divided by its norm, which
+    cancels from Z_n >= g Y_k. So with d = 1 (real) or 2 (complex) real
+    coordinates per mode, Z_n / Y_k is exactly F(d n, d k), and each trial
+    draws the two chi-square variates of :func:`mean_energies`.
 
     Trials are partitioned into chunks with counter-derived seeds, so the
     count is bit-identical for any ``workers`` value.
@@ -287,8 +298,8 @@ def mc_lemma1(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     g = g_factor(GFactorInputs(delta=delta, n=n, k=k, variant=variant))
-    fn = partial(_lemma1_chunk, n=n, k=k, g=g, complex_mode=variant is SphereVariant.COMPLEX)
-    failures = sum(mc.run_chunked(fn, trials, seed, chunk_size=chunk_size, workers=workers))
+    fn = partial(_lemma1_chunk, n=n, k=k, g=g, dof=2 if variant is SphereVariant.COMPLEX else 1)
+    failures = sum(mc.run_chunked(fn, trials, seed, workers=workers))
     lo, hi = mc.wilson_interval(failures, trials)
     return Lemma1Result(
         failures=failures,

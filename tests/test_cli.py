@@ -88,6 +88,21 @@ class TestBounds:
         assert code == 1
         assert "missing required parameter" in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--eps-projection", "0"],
+        ["--detection", "homodyne", "--y-k-observed", "-1"],
+        ["--y-test", "nan"],
+        ["--y-test", "inf"],
+        ["--detection", "homodyne", "--y-k-observed", "inf"],
+        ["--lambda", "inf"],
+    ], ids=["eps-projection-0", "homodyne-y-k-observed-negative", "y-test-nan", "y-test-inf",
+            "homodyne-y-k-observed-inf", "lambda-inf"])
+    def test_bad_number_is_one_line_usage_error(self, capsys, extra):
+        code, out, err = run_cli(capsys, BOUNDS_ARGS + extra)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("cvqkd: error:")
+
     def test_malformed_config(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

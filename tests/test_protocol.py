@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kurtosis
+from scipy.stats import chi2, kstest, kurtosis
 
 from cvqkd.protocol import (
     ChannelModel,
@@ -16,6 +16,7 @@ from cvqkd.protocol import (
     run_summary,
     simulate_bob_outcomes,
 )
+from cvqkd.symmetry import mc_lemma1
 
 
 def make_config(n=50, k=20, lam=1.0, detection=Detection.HETERODYNE,
@@ -117,11 +118,6 @@ class TestFrontEnd:
         total_sym = res.record.mode_energies().sum()
         assert total_sym == pytest.approx(total_raw, abs=1e-9 * max(1.0, total_raw))
 
-    def test_kept_values_shape(self):
-        cfg = make_config(n=30, k=10)
-        res = run_front_end(cfg, np.random.default_rng(8))
-        assert res.kept_values.shape == (60,)
-
     def test_homodyne_front_end_runs(self):
         cfg = make_config(n=30, k=10, detection=Detection.HOMODYNE, Y_test=10.0)
         res = run_front_end(cfg, np.random.default_rng(9))
@@ -145,8 +141,9 @@ class TestAbortRate:
 
     def test_deterministic_across_workers(self):
         cfg = make_config(n=40, k=60)
-        a = estimate_abort_rate(cfg, trials=5000, seed=12, chunk_size=512)
-        b = estimate_abort_rate(cfg, trials=5000, seed=12, chunk_size=512, workers=2)
+        # 5000 trials fill two chunks
+        a = estimate_abort_rate(cfg, trials=5000, seed=12)
+        b = estimate_abort_rate(cfg, trials=5000, seed=12, workers=2)
         assert a == b
 
     def test_statistics_shapes_and_match(self):
@@ -159,7 +156,7 @@ class TestAbortRate:
     def test_pass_and_energy_overflow_is_rare(self):
         # joint event {test passes, Z_n >= g(eps/4) * Y_test} at frequency
         # <= eps/4 + 3 Wilson half-widths over honest runs
-        from cvqkd.mc import wilson_half_width
+        from cvqkd.mc import wilson_interval
         from cvqkd.tailbounds import GFactorInputs, g_factor
 
         eps = 0.05
@@ -169,7 +166,37 @@ class TestAbortRate:
         trials = 5000
         y_k, z_n = front_end_statistics(cfg, trials=trials, seed=14)
         bad = int(np.count_nonzero((y_k <= cfg.Y_test) & (z_n >= d_0)))
-        assert bad / trials <= eps / 4.0 + 3.0 * wilson_half_width(bad, trials)
+        lo, hi = wilson_interval(bad, trials)
+        assert bad / trials <= eps / 4.0 + 3.0 * 0.5 * (hi - lo)
+
+    @pytest.mark.parametrize("detection", list(Detection))
+    def test_statistics_follow_exact_chi_square_law(self, detection):
+        # Y_k ~ sigma^2 chi2_{d k} / k and Z_n ~ sigma^2 chi2_{d n} / n with
+        # d = 2 outcomes per mode for heterodyne and 1 for homodyne
+        cfg = make_config(n=40, k=25, lam=1.5, tau=0.7, xi=0.1, detection=detection)
+        if detection is Detection.HETERODYNE:
+            dof, variance = 2, cfg.heterodyne_quadrature_variance
+        else:
+            dof, variance = 1, cfg.bob_mode_variance
+        y_k, z_n = front_end_statistics(cfg, trials=20_000, seed=15)
+        for values, modes in ((y_k, cfg.k), (z_n, cfg.n)):
+            law = chi2(dof * modes, scale=variance / modes)
+            assert kstest(values, law.cdf).pvalue > 1e-3
+
+
+class TestDeploymentScale:
+    def test_samplers_do_not_grow_with_mode_count(self):
+        # n = 1e9 kept and k = 1e7 tested modes: any per-mode array would
+        # need gigabytes per trial
+        n, k = 10**9, 10**7
+        res = mc_lemma1(n, k, 1e-10, trials=10_000, seed=16)
+        assert res.trials == 10_000 and math.isfinite(res.g) and 0 <= res.failures <= res.trials
+        cfg = make_config(n=n, k=k, lam=1.0, tau=0.5, xi=0.05, detection=Detection.HOMODYNE)
+        y_k, z_n = front_end_statistics(cfg, trials=100, seed=17)
+        assert y_k.shape == z_n.shape == (100,)
+        assert np.all(np.isfinite(y_k)) and np.all(np.isfinite(z_n))
+        # 100 means of 1e7 variables each lie within 1 % of their mean
+        assert np.abs(y_k / cfg.expected_Y_k - 1.0).max() < 0.01
 
 
 class TestRunSummary:

@@ -1,10 +1,13 @@
 """Tests for Haar sampling, the symplectic embedding, symmetrization, the
 energy test, and the concentration Monte Carlo harness."""
 
+import os
+
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import binom, f, ks_2samp
 
+from cvqkd import mc
 from cvqkd.symmetry import (
     Lemma1Result,
     QuadratureRecord,
@@ -264,10 +267,49 @@ class TestMcLemma1:
             mc_lemma1(10, 10, 0.1, trials=0, seed=0)
 
     def test_deterministic_and_worker_independent(self):
-        a = mc_lemma1(60, 30, 0.1, trials=9_000, seed=42, chunk_size=1024)
-        b = mc_lemma1(60, 30, 0.1, trials=9_000, seed=42, chunk_size=1024)
-        c = mc_lemma1(60, 30, 0.1, trials=9_000, seed=42, chunk_size=1024, workers=2)
+        # 9000 trials fill three chunks
+        a = mc_lemma1(60, 30, 0.1, trials=9_000, seed=42)
+        b = mc_lemma1(60, 30, 0.1, trials=9_000, seed=42)
+        c = mc_lemma1(60, 30, 0.1, trials=9_000, seed=42, workers=2)
         assert a == b == c
+
+    def test_worker_count_capped(self, monkeypatch):
+        # A stand-in pool records its size and maps in this process, so no
+        # process is started however many workers are asked for.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+        trials = 3 * mc.DEFAULT_CHUNK_SIZE
+        capped = mc_lemma1(60, 30, 0.1, trials=trials, seed=43, workers=10**6)
+        assert capped == mc_lemma1(60, 30, 0.1, trials=trials, seed=43, workers=1)
+        expected = min(3, os.cpu_count() or 1)
+        assert sizes == ([expected] if expected > 1 else [])
+
+    @pytest.mark.parametrize("n, k, delta, variant", [
+        (1000, 100, 0.05, SphereVariant.REAL),
+        (100, 100, 0.05, SphereVariant.COMPLEX),
+    ])
+    def test_count_follows_exact_f_tail(self, n, k, delta, variant):
+        # Z_n / Y_k is F(d n, d k) with d = 1 (real) or 2 (complex) real
+        # coordinates per mode, so the count is binomial with that tail
+        trials = 100_000
+        res = mc_lemma1(n, k, delta, trials=trials, variant=variant, seed=44)
+        d = 2 if variant is SphereVariant.COMPLEX else 1
+        lo, hi = binom.interval(1.0 - 1e-6, trials, f.sf(res.g, d * n, d * k))
+        assert lo <= res.failures <= hi
 
     def test_infeasible_g_propagates(self):
         from cvqkd.tailbounds import InfeasibleParameters

@@ -76,7 +76,8 @@ class TestGFactor:
 
     def test_sphere_sampling_soundness(self):
         # independent route: explicit uniform unit-sphere vectors, not the
-        # Gaussian shortcut used by the Monte Carlo harness
+        # chi-square sampler of the mean energies used by the Monte Carlo
+        # harness
         n, k, delta, trials = 300, 150, 0.05, 20_000
         g = g_factor(GFactorInputs(delta=delta, n=n, k=k))
         rng = np.random.default_rng(20240601)
